@@ -15,14 +15,15 @@
 // machine's CPU signature in the context block, comparable across PRs
 // and machines — tools/bench_gate.py diffs it against the committed
 // baseline.
-#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/cpu.hpp"
 #include "core/fleet.hpp"
+#include "core/pipeline.hpp"
 #include "core/serve.hpp"
 #include "core/threadpool.hpp"
 #include "core/workbench.hpp"
@@ -39,15 +40,6 @@ struct ScenarioResult {
   double p99_ms = 0.0;
   core::FleetReport report;
 };
-
-double percentile_ms(std::vector<double>& latencies, double q) {
-  if (latencies.empty()) return 0.0;
-  std::sort(latencies.begin(), latencies.end());
-  const std::size_t last = latencies.size() - 1;
-  const std::size_t index = std::min(
-      last, static_cast<std::size_t>(q * static_cast<double>(last) + 0.5));
-  return 1e3 * latencies[index];
-}
 
 void print_row(const ScenarioResult& s) {
   const core::FleetStats& fleet = s.report.fleet;
@@ -185,9 +177,11 @@ int main(int argc, char** argv) {
     for (const core::FleetResult& r : served) {
       latencies.push_back(r.latency());
     }
-    s.p50_ms = percentile_ms(latencies, 0.50);
-    s.p95_ms = percentile_ms(latencies, 0.95);
-    s.p99_ms = percentile_ms(latencies, 0.99);
+    const core::LatencyStats lat =
+        core::summarize_latencies(std::move(latencies));
+    s.p50_ms = 1e3 * lat.p50_s;
+    s.p95_ms = 1e3 * lat.p95_s;
+    s.p99_ms = 1e3 * lat.p99_s;
     s.report = fleet.report();
     MPCNN_CHECK(s.report.served == s.offered,
                 "fleet lost work: " << s.report.served << " of "

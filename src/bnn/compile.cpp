@@ -4,10 +4,8 @@
 #include <array>
 #include <bit>
 #include <cmath>
-#include <cstdlib>
 #include <cstring>
 #include <limits>
-#include <string_view>
 
 #include "bnn/binary_layers.hpp"
 #include "bnn/kernels.hpp"
@@ -1032,20 +1030,6 @@ std::vector<std::int32_t> run_reference_generic(const CompiledBnn& net,
   return {};
 }
 
-// Resolves kAuto from MPCNN_BNN_EXEC ("packed" | "scalar"; unset means
-// packed).  Re-read on every call so tests and tools can flip the toggle
-// at runtime; the lookup is trivial next to a network evaluation.
-BnnExec env_bnn_exec() {
-  const char* s = std::getenv("MPCNN_BNN_EXEC");
-  if (s == nullptr || *s == '\0' || std::string_view(s) == "packed") {
-    return BnnExec::kPacked;
-  }
-  MPCNN_CHECK(std::string_view(s) == "scalar",
-              "MPCNN_BNN_EXEC must be 'packed' or 'scalar', got '" << s
-                                                                   << "'");
-  return BnnExec::kScalar;
-}
-
 }  // namespace
 
 std::vector<std::int32_t> run_reference(const CompiledBnn& net,
@@ -1068,13 +1052,8 @@ std::vector<std::int32_t> run_reference(const CompiledBnn& net,
     pixels[static_cast<std::size_t>(i)] = static_cast<int>(
         std::lround(std::clamp(image[i], 0.0f, 1.0f) * levels));
   }
-  if (!net.fully_binary()) {
-    MPCNN_CHECK(exec != BnnExec::kPacked,
-                "packed engine requires a fully binarised net");
-    return run_reference_generic(net, pixels);
-  }
-  const BnnExec mode = exec == BnnExec::kAuto ? env_bnn_exec() : exec;
-  return mode == BnnExec::kScalar ? run_reference_binary(net, pixels)
+  if (!net.fully_binary()) return run_reference_generic(net, pixels);
+  return exec == BnnExec::kScalar ? run_reference_binary(net, pixels)
                                   : run_reference_packed(net, pixels);
 }
 

@@ -93,25 +93,23 @@ CompiledBnn compile_bnn(nn::Net& net);
 ///    epilogue, and a bit-plane first stage.  The default.
 ///  - kScalar: the original per-bit patch-assembly path, kept as the
 ///    correctness oracle.
-///  - kAuto:   resolve from the MPCNN_BNN_EXEC environment variable
-///    ("packed" | "scalar"; unset means packed).
 ///
 /// Both engines produce bit-identical class scores at any thread count;
 /// partially-binarised nets always take the generic multi-level path.
-enum class BnnExec { kAuto, kPacked, kScalar };
+enum class BnnExec { kPacked, kScalar };
 
 /// Bit-exact integer reference execution of one image (NCHW batch 1,
 /// floats in [0,1]); returns the `classes` output scores.
 std::vector<std::int32_t> run_reference(const CompiledBnn& net,
                                         const Tensor& image,
-                                        BnnExec exec = BnnExec::kAuto);
+                                        BnnExec exec = BnnExec::kPacked);
 
 /// Scores for every image of an NCHW batch: per-image fan-out over the
 /// shared pool (nested engine parallelism runs inline), one score vector
 /// per image in batch order.
 std::vector<std::vector<std::int32_t>> run_reference_batch(
     const CompiledBnn& net, const Tensor& images,
-    BnnExec exec = BnnExec::kAuto);
+    BnnExec exec = BnnExec::kPacked);
 
 /// Argmax labels for a batch of images.
 std::vector<int> classify_reference(const CompiledBnn& net,

@@ -210,6 +210,17 @@ TEST_F(ArtifactTest, WrongMagicIsRejected) {
   mutant[0] = 'X';
   refit_crc(&mutant);  // CRC valid; only the magic is wrong
   expect_load_rejected(mutant, "wrong magic with valid CRC");
+
+  // The retired kernel-tuning cache is no longer a known format: a
+  // leftover mpcnn_tune.mptu must be refused by inspect (and so by
+  // `mpcnn_cli verify`), not reported as a valid artifact.
+  const char retired_tune_magic[4] = {'M', 'P', 'T', 'U'};
+  mutant = golden_net("net.bin");
+  std::memcpy(mutant.data(), retired_tune_magic, sizeof retired_tune_magic);
+  refit_crc(&mutant);
+  expect_load_rejected(mutant, "retired tuning-cache magic with valid CRC");
+  spit(path("mpcnn_tune.mptu"), mutant);
+  EXPECT_THROW(io::inspect(path("mpcnn_tune.mptu")), Error);
 }
 
 TEST_F(ArtifactTest, FutureVersionIsRejected) {

@@ -5,7 +5,6 @@
 // identical class scores on every compiled topology, at any thread count.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <vector>
 
 #include "bnn/compile.hpp"
@@ -79,23 +78,6 @@ TEST(PackedBnn, BatchMatchesPerImageScores) {
               run_reference(fx.net, fx.image(i), BnnExec::kScalar))
         << "image " << i;
   }
-}
-
-TEST(PackedBnn, EnvToggleSelectsEngine) {
-  const PackedFixture fx(0.125f, 64, 53, 1);
-  const Tensor img = fx.image(0);
-  const auto packed = run_reference(fx.net, img, BnnExec::kPacked);
-
-  // kAuto consults MPCNN_BNN_EXEC on every call; both settings must agree
-  // with the explicit engines (and with each other).
-  ::setenv("MPCNN_BNN_EXEC", "scalar", 1);
-  EXPECT_EQ(run_reference(fx.net, img), packed);
-  ::setenv("MPCNN_BNN_EXEC", "packed", 1);
-  EXPECT_EQ(run_reference(fx.net, img), packed);
-  ::setenv("MPCNN_BNN_EXEC", "simd-ish", 1);
-  EXPECT_THROW(run_reference(fx.net, img), Error);
-  ::unsetenv("MPCNN_BNN_EXEC");
-  EXPECT_EQ(run_reference(fx.net, img), packed);
 }
 
 TEST(Determinism, PackedBnnReferenceIdenticalAcrossThreadCounts) {
